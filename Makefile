@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-snapshot fuzz-smoke serve-smoke server-race mon-smoke cluster-race lint gauntlet gauntlet-check check clean
+.PHONY: all build vet test race bench-smoke bench-snapshot fuzz-smoke serve-smoke server-race mon-smoke cluster-race perfbench-test gen-check lint gauntlet gauntlet-check check clean
 
 all: check
 
@@ -39,12 +39,17 @@ bench-snapshot:
 # corpora (testdata/fuzz/): round-trip losslessness on arbitrary bit
 # patterns, no-panic + ErrCorrupt on mutated streams, differential
 # pushdown-vs-naive filtered aggregates under fuzzed predicates, and
-# the scan-stream frame decoder (length/CRC/bitmap-cardinality lies).
+# the scan-stream frame decoder (length/CRC/bitmap-cardinality lies),
+# and the ALPM metrics-history snapshot reader (an error, never a panic
+# or an allocation out of proportion to the input). FuzzReadStore bounds
+# minimization: shrinking one multi-KB snapshot byte by byte would
+# otherwise take the whole 13s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEncodeDecodeRoundTrip -fuzztime 13s .
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime 13s .
 	$(GO) test -run '^$$' -fuzz FuzzPushdownAgainstNaive -fuzztime 13s .
 	$(GO) test -run '^$$' -fuzz FuzzScanFrameDecode -fuzztime 13s .
+	$(GO) test -run '^$$' -fuzz FuzzReadStore -fuzztime 13s -fuzzminimizetime 50x .
 
 # End-to-end smoke of the column service: build the real alpserved
 # binary, boot it on an ephemeral port, run an ingest -> scan -> agg
@@ -61,6 +66,20 @@ serve-smoke:
 # `alpfile metrics`.
 mon-smoke:
 	$(GO) test -run TestMonSmoke -count=1 -v ./cmd/alpserved
+
+# perfbench/ is its own module (it replaces the root module with ../),
+# so the root `go test ./...` never compiles it, yet it reads alp.Stats
+# and the internal packages. Vet and self-test it against this tree.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# The checked-in bit-packing kernels must be exactly what the generator
+# emits (after gofmt): regenerate into a temp file and diff.
+gen-check:
+	@tmp=$$(mktemp) && trap 'rm -f $$tmp' EXIT && \
+	$(GO) run ./cmd/genbitpack | gofmt > $$tmp && \
+	diff -u internal/bitpack/kernels_gen.go $$tmp && \
+	echo "gen-check: internal/bitpack/kernels_gen.go matches cmd/genbitpack"
 
 # Static analysis beyond vet: staticcheck and govulncheck when the
 # tools are installed, skipped with a notice otherwise (the CI lint job
@@ -116,7 +135,7 @@ gauntlet-check:
 	$(GO) run ./cmd/alpgauntlet -check BENCH_gauntlet.json
 
 # The full PR gate, mirrored by .github/workflows/ci.yml.
-check: vet build test race bench-smoke serve-smoke mon-smoke server-race cluster-race fuzz-smoke
+check: vet build gen-check test race bench-smoke serve-smoke mon-smoke server-race cluster-race perfbench-test fuzz-smoke
 
 clean:
 	$(GO) clean ./...

@@ -239,7 +239,7 @@ func SampleRowGroup32(values []float32) Decision {
 func ChooseForVector32(vec []float32, combos []Combo) (Combo, int) {
 	o := obs.Active()
 	if len(combos) == 1 {
-		o.SecondStageSkipped()
+		o.Add(obs.SecondStageSkips, 1)
 		return combos[0], 0
 	}
 	sample := sampleEquidistant32(vec, SecondStageSamples)

@@ -169,7 +169,7 @@ func SampleRowGroup(values []float64) Decision {
 func ChooseForVector(vec []float64, combos []Combo) (Combo, int) {
 	o := obs.Active()
 	if len(combos) == 1 {
-		o.SecondStageSkipped()
+		o.Add(obs.SecondStageSkips, 1)
 		return combos[0], 0
 	}
 	sample := sampleEquidistant(vec, SecondStageSamples)

@@ -68,7 +68,7 @@ func (c *Coordinator) fetchRun(ctx context.Context, st *colState, p client.Predi
 		return err
 	})
 	dur := time.Since(start)
-	o.ClusterCall()
+	o.Add(obs.ClusterBackendCalls, 1)
 	o.Observe(obs.HistClusterBackend, dur.Nanoseconds())
 	c.backendHists[run.b].Record(dur.Nanoseconds())
 	if err == nil {
@@ -87,10 +87,10 @@ func (c *Coordinator) fetchRun(ctx context.Context, st *colState, p client.Predi
 	excluded[run.b] = true
 	exCopy := append([]bool(nil), excluded...)
 	mu.Unlock()
-	o.ClusterFailover()
+	o.Add(obs.ClusterFailovers, 1)
 	subRuns, missing := c.planRuns(st, run.globals, exCopy)
 	if len(missing) > 0 {
-		o.ClusterPartialUnavailable()
+		o.Add(obs.ClusterPartialUnavailable, 1)
 		return nil, 0, &PartialUnavailableError{Col: st.name, MissingRowGroups: missing, Cause: cause}
 	}
 	var out []byte
@@ -137,7 +137,7 @@ func (c *Coordinator) Scan(ctx context.Context, name string, p client.Predicate,
 
 	runs, missing := c.planRuns(st, allRGs(st.numRG), excluded)
 	if len(missing) > 0 {
-		o.ClusterPartialUnavailable()
+		o.Add(obs.ClusterPartialUnavailable, 1)
 		return 0, false, &PartialUnavailableError{Col: st.name, MissingRowGroups: missing}
 	}
 	fanout := map[int]bool{}

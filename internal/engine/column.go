@@ -60,7 +60,7 @@ func (p *alpViewPartition) FilterAgg(pred Predicate, bufs *filterBufs, a *Agg) i
 		touched++
 		a.fold(bufs.out[:n])
 	}
-	o.VectorsSkipped(skipped)
+	o.Add(obs.VectorsSkipped, int64(skipped))
 	o.FlushScanBatch(&batch)
 	return touched
 }
@@ -82,7 +82,7 @@ func (p *alpViewPartition) FilterCount(pred Predicate, bufs *filterBufs) (int64,
 		touched++
 		count += int64(n)
 	}
-	o.VectorsSkipped(skipped)
+	o.Add(obs.VectorsSkipped, int64(skipped))
 	o.FlushScanBatch(&batch)
 	return count, touched
 }

@@ -60,7 +60,7 @@ func (r *Relation) run(threads int, fn func(p Partition, buf []float64, acc *flo
 		threads = 1
 	}
 	o := obs.Active()
-	o.ScanWorkers(threads)
+	o.Add(obs.ScanWorkers, int64(threads))
 	var next atomic.Int64
 	results := make([]float64, threads)
 	var wg sync.WaitGroup
@@ -74,7 +74,7 @@ func (r *Relation) run(threads int, fn func(p Partition, buf []float64, acc *flo
 				if i >= len(r.Parts) {
 					return
 				}
-				o.MorselClaim()
+				o.Add(obs.MorselClaims, 1)
 				fn(r.Parts[i], buf, &results[t])
 			}
 		}(t)
@@ -253,7 +253,7 @@ func (r *Relation) SumRange(threads int, lo, hi float64) (sum float64, count, to
 		threads = 1
 	}
 	o := obs.Active()
-	o.ScanWorkers(threads)
+	o.Add(obs.ScanWorkers, int64(threads))
 	var next atomic.Int64
 	type acc struct {
 		sum            float64
@@ -271,7 +271,7 @@ func (r *Relation) SumRange(threads int, lo, hi float64) (sum float64, count, to
 				if i >= len(r.Parts) {
 					return
 				}
-				o.MorselClaim()
+				o.Add(obs.MorselClaims, 1)
 				a := &results[t]
 				if rs, ok := r.Parts[i].(RangeScanner); ok {
 					s, c, tv := rs.SumRange(lo, hi)

@@ -183,15 +183,15 @@ func TestScanObservability(t *testing.T) {
 		t.Fatalf("Scan counted %d tuples, want %d", got, n)
 	}
 	s := c.Snapshot()
-	if s.MorselClaims != 3 {
-		t.Fatalf("MorselClaims = %d, want 3 (one per partition)", s.MorselClaims)
+	if s.Counts[obs.MorselClaims] != 3 {
+		t.Fatalf("MorselClaims = %d, want 3 (one per partition)", s.Counts[obs.MorselClaims])
 	}
-	if s.ScanWorkers != 4 {
-		t.Fatalf("ScanWorkers = %d, want 4", s.ScanWorkers)
+	if s.Counts[obs.ScanWorkers] != 4 {
+		t.Fatalf("ScanWorkers = %d, want 4", s.Counts[obs.ScanWorkers])
 	}
 	totalVectors := int64(vector.VectorsIn(n))
-	if s.VectorsDecoded != totalVectors {
-		t.Fatalf("VectorsDecoded = %d, want %d", s.VectorsDecoded, totalVectors)
+	if s.Counts[obs.VectorsDecoded] != totalVectors {
+		t.Fatalf("VectorsDecoded = %d, want %d", s.Counts[obs.VectorsDecoded], totalVectors)
 	}
 
 	// A predicate covering exactly the last 2 vectors of the column:
@@ -216,14 +216,14 @@ func TestScanObservability(t *testing.T) {
 		t.Fatalf("touched = %d, want 2", touched)
 	}
 	s = c.Snapshot()
-	if s.MorselClaims != 3 || s.ScanWorkers != 2 || s.RangeScans != 3 {
+	if s.Counts[obs.MorselClaims] != 3 || s.Counts[obs.ScanWorkers] != 2 || s.Counts[obs.RangeScans] != 3 {
 		t.Fatalf("claims/workers/scans = %d/%d/%d, want 3/2/3",
-			s.MorselClaims, s.ScanWorkers, s.RangeScans)
+			s.Counts[obs.MorselClaims], s.Counts[obs.ScanWorkers], s.Counts[obs.RangeScans])
 	}
-	if s.VectorsDecoded != 2 {
-		t.Fatalf("VectorsDecoded = %d, want 2", s.VectorsDecoded)
+	if s.Counts[obs.VectorsDecoded] != 2 {
+		t.Fatalf("VectorsDecoded = %d, want 2", s.Counts[obs.VectorsDecoded])
 	}
-	if wantSkip := totalVectors - 2; s.VectorsSkipped != wantSkip {
-		t.Fatalf("VectorsSkipped = %d, want %d", s.VectorsSkipped, wantSkip)
+	if wantSkip := totalVectors - 2; s.Counts[obs.VectorsSkipped] != wantSkip {
+		t.Fatalf("VectorsSkipped = %d, want %d", s.Counts[obs.VectorsSkipped], wantSkip)
 	}
 }

@@ -44,7 +44,7 @@ func (r *Relation) FilterAggPartials(threads int, p Predicate, idxs []int) ([]Ag
 		threads = 1
 	}
 	o := obs.Active()
-	o.ScanWorkers(threads)
+	o.Add(obs.ScanWorkers, int64(threads))
 	out := make([]Agg, len(idxs))
 	touched := make([]int, threads)
 	var next atomic.Int64
@@ -59,7 +59,7 @@ func (r *Relation) FilterAggPartials(threads int, p Predicate, idxs []int) ([]Ag
 				if k >= len(idxs) {
 					return
 				}
-				o.MorselClaim()
+				o.Add(obs.MorselClaims, 1)
 				out[k] = emptyAgg()
 				part := r.Parts[idxs[k]]
 				if ps, ok := part.(PushdownScanner); ok {
@@ -99,7 +99,7 @@ func (r *Relation) FilterCountPartials(threads int, p Predicate, idxs []int) []i
 		threads = 1
 	}
 	o := obs.Active()
-	o.ScanWorkers(threads)
+	o.Add(obs.ScanWorkers, int64(threads))
 	out := make([]int64, len(idxs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -113,7 +113,7 @@ func (r *Relation) FilterCountPartials(threads int, p Predicate, idxs []int) []i
 				if k >= len(idxs) {
 					return
 				}
-				o.MorselClaim()
+				o.Add(obs.MorselClaims, 1)
 				part := r.Parts[idxs[k]]
 				if ps, ok := part.(PushdownScanner); ok {
 					c, _ := ps.FilterCount(p, bufs)

@@ -214,7 +214,7 @@ func (r *Relation) filterAgg(threads int, p Predicate, forceNaive bool) (Agg, in
 		threads = 1
 	}
 	o := obs.Active()
-	o.ScanWorkers(threads)
+	o.Add(obs.ScanWorkers, int64(threads))
 	var next atomic.Int64
 	results := make([]Agg, threads)
 	touched := make([]int, threads)
@@ -232,7 +232,7 @@ func (r *Relation) filterAgg(threads int, p Predicate, forceNaive bool) (Agg, in
 				if i >= len(r.Parts) {
 					return
 				}
-				o.MorselClaim()
+				o.Add(obs.MorselClaims, 1)
 				if ps, ok := r.Parts[i].(PushdownScanner); ok && !forceNaive {
 					touched[t] += ps.FilterAgg(p, bufs, &results[t])
 				} else {
@@ -259,7 +259,7 @@ func (r *Relation) FilterCount(threads int, p Predicate) int64 {
 		threads = 1
 	}
 	o := obs.Active()
-	o.ScanWorkers(threads)
+	o.Add(obs.ScanWorkers, int64(threads))
 	var next atomic.Int64
 	counts := make([]int64, threads)
 	var wg sync.WaitGroup
@@ -273,7 +273,7 @@ func (r *Relation) FilterCount(threads int, p Predicate) int64 {
 				if i >= len(r.Parts) {
 					return
 				}
-				o.MorselClaim()
+				o.Add(obs.MorselClaims, 1)
 				if ps, ok := r.Parts[i].(PushdownScanner); ok {
 					c, _ := ps.FilterCount(p, bufs)
 					counts[t] += c
@@ -347,7 +347,7 @@ func (p *alpPartition) FilterAgg(pred Predicate, bufs *filterBufs, a *Agg) int {
 		touched++
 		a.fold(bufs.out[:n])
 	}
-	o.VectorsSkipped(skipped)
+	o.Add(obs.VectorsSkipped, int64(skipped))
 	o.FlushScanBatch(&batch)
 	return touched
 }
@@ -369,7 +369,7 @@ func (p *alpPartition) FilterRows(pred Predicate, bufs *filterBufs, out []float6
 		batch.Vector(n, pd)
 		out = append(out, bufs.out[:n]...)
 	}
-	o.VectorsSkipped(skipped)
+	o.Add(obs.VectorsSkipped, int64(skipped))
 	o.FlushScanBatch(&batch)
 	return out
 }
@@ -394,7 +394,7 @@ func (p *alpPartition) FilterCount(pred Predicate, bufs *filterBufs) (int64, int
 		touched++
 		count += int64(n)
 	}
-	o.VectorsSkipped(skipped)
+	o.Add(obs.VectorsSkipped, int64(skipped))
 	o.FlushScanBatch(&batch)
 	return count, touched
 }

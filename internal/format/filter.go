@@ -181,7 +181,7 @@ type FilterAggResult struct {
 // naive decode-then-filter aggregate.
 func (c *Column) AggRange(lo, hi float64) FilterAggResult {
 	o := obs.Active()
-	o.RangeScan()
+	o.Add(obs.RangeScans, 1)
 	res := FilterAggResult{Min: math.Inf(1), Max: math.Inf(-1)}
 	var sel [SelWords]uint64
 	scratch := make([]int64, vector.Size)
@@ -198,7 +198,7 @@ func (c *Column) AggRange(lo, hi float64) FilterAggResult {
 		res.Touched++
 		foldAgg(&res, out[:n])
 	}
-	o.VectorsSkipped(skipped)
+	o.Add(obs.VectorsSkipped, int64(skipped))
 	o.FlushScanBatch(&batch)
 	return res
 }

@@ -287,7 +287,7 @@ func (c *Column) UsedRD() bool {
 // decompressed.
 func (c *Column) SumRange(lo, hi float64) (sum float64, count, touched int) {
 	o := obs.Active()
-	o.RangeScan()
+	o.Add(obs.RangeScans, 1)
 	skipped := 0
 	scratch := make([]int64, vector.Size)
 	buf := make([]float64, vector.Size)
@@ -305,7 +305,7 @@ func (c *Column) SumRange(lo, hi float64) (sum float64, count, touched int) {
 			}
 		}
 	}
-	o.VectorsSkipped(skipped)
+	o.Add(obs.VectorsSkipped, int64(skipped))
 	return sum, count, touched
 }
 

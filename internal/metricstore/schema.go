@@ -51,9 +51,8 @@ func seriesNames(includeBuckets bool) []string {
 // zero snapshot, so the first deltas are the totals accumulated since
 // the process (or collector) started.
 func extractSamples(dst []float64, cur, prev obs.Snapshot, includeBuckets bool) []float64 {
-	curCounters, prevCounters := cur.Counters(), prev.Counters()
-	for i := range curCounters {
-		dst = append(dst, float64(obs.CounterDelta(curCounters[i].Value, prevCounters[i].Value)))
+	for i := range cur.Counts {
+		dst = append(dst, float64(obs.CounterDelta(cur.Counts[i], prev.Counts[i])))
 	}
 	for i := 0; i < int(obs.NumHists); i++ {
 		d := cur.Hists[i].Delta(prev.Hists[i])

@@ -170,13 +170,16 @@ func ReadStore(data []byte) (*Store, error) {
 		st.seals++
 	}
 	nHot := int(r.u32())
-	for i := 0; i < nHot; i++ {
-		st.hotTs = append(st.hotTs, math.Float64frombits(uint64(r.i64())))
+	// The hot tail is nHot raw float64s for the timestamps and for
+	// every series. Check the count against the bytes actually left
+	// before allocating, so a lying count cannot allocate gigabytes.
+	if r.err == nil && uint64(nHot)*uint64(nSeries+1)*8 > uint64(len(r.buf)) {
+		return nil, fmt.Errorf("metricstore: truncated snapshot: hot tail of %d samples × %d series needs more than the %d bytes left",
+			nHot, nSeries+1, len(r.buf))
 	}
+	st.hotTs = readFloats(r, nHot)
 	for si := 0; si < nSeries; si++ {
-		for i := 0; i < nHot; i++ {
-			st.hot[si] = append(st.hot[si], math.Float64frombits(uint64(r.i64())))
-		}
+		st.hot[si] = readFloats(r, nHot)
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("metricstore: truncated snapshot: %w", r.err)
@@ -189,6 +192,20 @@ func ReadStore(data []byte) (*Store, error) {
 		st.scrapes += int64(w.n)
 	}
 	return st, nil
+}
+
+// readFloats reads n raw little-endian float64s (nil when n is 0 or
+// the reader has failed).
+func readFloats(r *reader, n int) []float64 {
+	raw := r.bytes(8 * n)
+	if len(raw) == 0 {
+		return nil
+	}
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	}
+	return out
 }
 
 func openColumn(r *reader, wantN int) (*alp.Column, error) {

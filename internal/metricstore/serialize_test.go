@@ -2,7 +2,10 @@ package metricstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -116,6 +119,41 @@ func TestSnapshotCorruption(t *testing.T) {
 		bad[pos] ^= 0x40
 		if _, err := ReadStore(bad); err == nil || !strings.Contains(err.Error(), "CRC") {
 			t.Fatalf("bit flip at %d: %v", pos, err)
+		}
+	}
+}
+
+// TestSnapshotHotCountBounded re-signs a snapshot whose hot-tail
+// sample count lies: ReadStore must refuse it as truncated before
+// allocating for the claimed samples, not grow one slice per series
+// toward count × 8 bytes until the reader runs dry.
+func TestSnapshotHotCountBounded(t *testing.T) {
+	seq := genSeq(5, 1, 10_000, -1)
+	st, _ := feed(t, seq, Options{WindowSamples: 16}) // no sealed window, one hot sample
+	var buf bytes.Buffer
+	if _, err := st.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	// Layout tail: u32 hot count, (series+1) raw float64s, u32 CRC.
+	at := len(good) - 4 - 8*(len(st.Names())+1) - 4
+	if got := binary.LittleEndian.Uint32(good[at:]); got != 1 {
+		t.Fatalf("hot count at offset %d reads %d, want 1", at, got)
+	}
+	for _, lie := range []uint32{65536, math.MaxUint32} {
+		bad := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(bad[at:], lie)
+		binary.LittleEndian.PutUint32(bad[len(bad)-4:], crc32.Checksum(bad[:len(bad)-4], crcTable))
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadStore(bad)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "truncated") {
+			t.Fatalf("hot count %d: err = %v, want a truncated-snapshot error", lie, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+			t.Fatalf("hot count %d: ReadStore allocated %d bytes for a %d-byte snapshot", lie, alloc, len(bad))
 		}
 	}
 }

@@ -3,7 +3,6 @@ package metricstore
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
@@ -13,7 +12,7 @@ import (
 // ---- deterministic synthetic telemetry ----
 
 // snapGen produces a deterministic stream of cumulative obs snapshots:
-// every int64 counter field random-walks upward and the histograms
+// every counter random-walks upward and the histograms
 // grow coherently (Count tracks the bucket total, SumNs and MaxNs stay
 // consistent with the buckets touched). Reset() simulates a collector
 // restart mid-stream.
@@ -30,12 +29,8 @@ func (g *snapGen) Reset() { g.cum = obs.Snapshot{} }
 
 // Next advances the cumulative state and returns a copy.
 func (g *snapGen) Next() obs.Snapshot {
-	v := reflect.ValueOf(&g.cum).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
-		if f.Kind() == reflect.Int64 {
-			f.SetInt(f.Int() + g.rng.Int63n(1000))
-		}
+	for i := range g.cum.Counts {
+		g.cum.Counts[i] += g.rng.Int63n(1000)
 	}
 	for h := range g.cum.Hists {
 		hs := &g.cum.Hists[h]

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -11,24 +12,60 @@ import (
 // rely on.
 func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
+	c.Add(RangeScans, 1)
 	c.RowGroup(true)
 	c.RowGroup(false)
 	c.VectorEncoded(1024, 3, 17)
 	c.EncodeTime(100, 1024)
-	c.SecondStageSkipped()
 	c.SecondStage(3, true)
 	c.RDSampled(16, 8)
 	c.VectorDecoded(1024, 50)
-	c.VectorsSkipped(4)
-	c.RangeScan()
-	c.MorselClaim()
-	c.ScanWorkers(8)
-	c.PipelineWorkers(4)
-	c.PipelineClaim()
-	c.PipelineStall()
+	c.FlushScanBatch(&ScanBatch{Pushdown: 1})
+	c.ScanFrames(1, 2, 3, 4)
+	c.ClusterScatter(2)
 	c.Reset()
 	if s := c.Snapshot(); s != (Snapshot{}) {
 		t.Fatalf("nil collector snapshot not zero: %+v", s)
+	}
+}
+
+// TestAddRangeSafe checks that Add ignores ids outside the table
+// instead of panicking, like Observe does for histograms.
+func TestAddRangeSafe(t *testing.T) {
+	var c Collector
+	c.Add(-1, 5)
+	c.Add(NumCounters, 5)
+	if s := c.Snapshot(); s != (Snapshot{}) {
+		t.Fatalf("out-of-range Add changed the snapshot: %+v", s.Counts)
+	}
+	c.Add(ClusterRebalances, 5)
+	if got := c.Snapshot().Counts[ClusterRebalances]; got != 5 {
+		t.Fatalf("Add(ClusterRebalances, 5) = %d", got)
+	}
+}
+
+// TestCounterTable checks the table itself: every counter has a
+// unique snake_case name, and Counters() lists them in table order.
+func TestCounterTable(t *testing.T) {
+	seen := map[string]bool{}
+	var s Snapshot
+	for i := range s.Counts {
+		s.Counts[i] = int64(i) + 1
+	}
+	for i, m := range s.Counters() {
+		if m.Name == "" || strings.Trim(m.Name, "abcdefghijklmnopqrstuvwxyz_") != "" {
+			t.Errorf("counter %d has name %q", i, m.Name)
+		}
+		if seen[m.Name] {
+			t.Errorf("counter name %q declared twice", m.Name)
+		}
+		seen[m.Name] = true
+		if m.Value != int64(i)+1 {
+			t.Errorf("Counters()[%d] = %s:%d, want value %d", i, m.Name, m.Value, i+1)
+		}
+	}
+	if len(seen) != int(NumCounters) {
+		t.Fatalf("%d counter names, want %d", len(seen), NumCounters)
 	}
 }
 
@@ -41,29 +78,41 @@ func TestCollectorCounts(t *testing.T) {
 	c.VectorEncoded(1000, 0, 17)
 	c.VectorEncoded(1024, 5, WidthNone) // RD vector: no histogram entry
 	c.EncodeTime(500, 3048)
-	c.SecondStageSkipped()
+	c.Add(SecondStageSkips, 1)
 	c.SecondStage(3, true)
 	c.SecondStage(5, false)
 	c.RDSampled(16, 8)
 	c.VectorDecoded(1024, 40)
 	c.VectorDecoded(512, 20)
-	c.VectorsSkipped(6)
-	c.RangeScan()
-	c.MorselClaim()
-	c.MorselClaim()
-	c.ScanWorkers(4)
-	c.PipelineWorkers(2)
-	c.PipelineClaim()
-	c.PipelineClaim()
-	c.PipelineClaim()
-	c.PipelineStall()
+	c.Add(VectorsSkipped, 6)
+	b := ScanBatch{}
+	b.Vector(10, true)
+	b.Vector(3, false)
+	b.Vector(0, true)
+	c.FlushScanBatch(&b)
+	c.ScanFrames(4, 0, 1, -12)
+	c.ClusterScatter(3)
 
 	s := c.Snapshot()
-	if s.RowGroupsALP != 2 || s.RowGroupsRD != 1 {
-		t.Errorf("row groups: ALP %d RD %d", s.RowGroupsALP, s.RowGroupsRD)
+	want := map[Counter]int64{
+		RowGroupsALP: 2, RowGroupsRD: 1,
+		VectorsEncoded: 3, EncodeExceptions: 7,
+		EncodeNs: 500, EncodeValues: 3048,
+		SecondStageSkips: 1, SecondStageEarlyExits: 1, SecondStageTried: 8,
+		RDSampledRowGroups: 1, RDCutsTried: 16, RDDictEntries: 8,
+		VectorsDecoded: 2, DecodeValues: 1536, DecodeNs: 60,
+		VectorsSkipped:  6,
+		PushdownVectors: 2, PushdownFallbacks: 1, SelectedRows: 13,
+		ScanFramesDense: 4, ScanFramesRaw: 1, ScanBytesSaved: -12,
+		ClusterScatters: 1,
 	}
-	if s.VectorsEncoded != 3 || s.EncodeExceptions != 7 {
-		t.Errorf("vectors encoded %d exceptions %d", s.VectorsEncoded, s.EncodeExceptions)
+	for i, m := range s.Counters() {
+		if m.Value != want[Counter(i)] {
+			t.Errorf("%s = %d, want %d", m.Name, m.Value, want[Counter(i)])
+		}
+	}
+	if b != (ScanBatch{}) {
+		t.Errorf("FlushScanBatch left the batch at %+v", b)
 	}
 	if s.BitWidthHist[17] != 2 {
 		t.Errorf("hist[17] = %d, want 2", s.BitWidthHist[17])
@@ -73,39 +122,8 @@ func TestCollectorCounts(t *testing.T) {
 			t.Errorf("hist[%d] = %d, want 0", w, n)
 		}
 	}
-	if s.EncodeNs != 500 || s.EncodeValues != 3048 {
-		t.Errorf("encode time %d/%d", s.EncodeNs, s.EncodeValues)
-	}
-	if s.SecondStageSkips != 1 || s.SecondStageEarlyExits != 1 || s.SecondStageTried != 8 {
-		t.Errorf("second stage: skips %d early %d tried %d",
-			s.SecondStageSkips, s.SecondStageEarlyExits, s.SecondStageTried)
-	}
-	if s.RDSampledRowGroups != 1 || s.RDCutsTried != 16 || s.RDDictEntries != 8 {
-		t.Errorf("rd sampling: %d groups %d cuts %d dict",
-			s.RDSampledRowGroups, s.RDCutsTried, s.RDDictEntries)
-	}
-	if s.VectorsDecoded != 2 || s.DecodeValues != 1536 || s.DecodeNs != 60 {
-		t.Errorf("decode: %d vectors %d values %d ns", s.VectorsDecoded, s.DecodeValues, s.DecodeNs)
-	}
-	if s.VectorsSkipped != 6 || s.RangeScans != 1 {
-		t.Errorf("scan: %d skipped %d scans", s.VectorsSkipped, s.RangeScans)
-	}
-	if s.MorselClaims != 2 || s.ScanWorkers != 4 {
-		t.Errorf("engine: %d claims %d workers", s.MorselClaims, s.ScanWorkers)
-	}
-	if s.PipelineWorkers != 2 || s.PipelineClaims != 3 || s.PipelineStalls != 1 {
-		t.Errorf("pipeline: %d workers %d claims %d stalls",
-			s.PipelineWorkers, s.PipelineClaims, s.PipelineStalls)
-	}
-
-	if got := s.EncodeNsPerValue(); got != 500.0/3048.0 {
-		t.Errorf("EncodeNsPerValue = %v", got)
-	}
-	if got := s.DecodeNsPerValue(); got != 60.0/1536.0 {
-		t.Errorf("DecodeNsPerValue = %v", got)
-	}
-	if got := s.SkipRate(); got != 6.0/8.0 {
-		t.Errorf("SkipRate = %v", got)
+	if h := s.Hists[HistClusterFanout]; h.Count != 1 || h.SumNs != 3 {
+		t.Errorf("fanout histogram count %d sum %d, want 1 and 3", h.Count, h.SumNs)
 	}
 
 	c.Reset()
@@ -167,15 +185,15 @@ func TestConcurrentCounting(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				c.VectorDecoded(1024, 1)
-				c.MorselClaim()
+				c.Add(MorselClaims, 1)
 				c.VectorEncoded(1024, 1, 12)
 			}
 		}()
 	}
 	wg.Wait()
 	s := c.Snapshot()
-	if s.VectorsDecoded != workers*per || s.MorselClaims != workers*per ||
-		s.VectorsEncoded != workers*per || s.BitWidthHist[12] != workers*per {
+	if s.Counts[VectorsDecoded] != workers*per || s.Counts[MorselClaims] != workers*per ||
+		s.Counts[VectorsEncoded] != workers*per || s.BitWidthHist[12] != workers*per {
 		t.Fatalf("lost updates: %+v", s)
 	}
 }

@@ -65,7 +65,7 @@ func Run(n, workers int, fn func(worker, item int)) {
 		return
 	}
 	o := obs.Active()
-	o.PipelineWorkers(workers)
+	o.Add(obs.PipelineWorkers, int64(workers))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for t := 0; t < workers; t++ {
@@ -77,7 +77,7 @@ func Run(n, workers int, fn func(worker, item int)) {
 				if i >= n {
 					return
 				}
-				o.PipelineClaim()
+				o.Add(obs.PipelineClaims, 1)
 				fn(t, i)
 			}
 		}(t)
@@ -110,13 +110,13 @@ type poolJob[J any] struct {
 func NewPool[J, R any](workers int, fn func(worker int, job J) R) *Pool[J, R] {
 	workers = Workers(workers)
 	p := &Pool[J, R]{jobs: make(chan poolJob[J], 1)}
-	obs.Active().PipelineWorkers(workers)
+	obs.Active().Add(obs.PipelineWorkers, int64(workers))
 	for t := 0; t < workers; t++ {
 		p.wg.Add(1)
 		go func(t int) {
 			defer p.wg.Done()
 			for j := range p.jobs {
-				obs.Active().PipelineClaim()
+				obs.Active().Add(obs.PipelineClaims, 1)
 				r := fn(t, j.job)
 				p.mu.Lock()
 				for len(p.results) <= j.index {
@@ -140,7 +140,7 @@ func (p *Pool[J, R]) Submit(job J) {
 	select {
 	case p.jobs <- pj:
 	default:
-		obs.Active().PipelineStall()
+		obs.Active().Add(obs.PipelineStalls, 1)
 		p.jobs <- pj
 	}
 }

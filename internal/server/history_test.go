@@ -30,7 +30,7 @@ func histTestStore(t *testing.T, scrapes, window int) (*metricstore.Store, int64
 	})
 	first := ts + 10_000
 	for i := 0; i < scrapes; i++ {
-		c.ServerRequest()
+		c.Add(obs.ServerRequests, 1)
 		c.Observe(obs.HistScan, int64(1000+i))
 		ts += 10_000
 		st.ScrapeOnce()
@@ -108,7 +108,7 @@ func TestHistoryEndpoint(t *testing.T) {
 		}
 		total += v
 	}
-	// 100 scrapes, one ServerRequest each: the deltas must sum to 100.
+	// 100 scrapes, one server_requests tick each: the deltas must sum to 100.
 	if total != 100 {
 		t.Fatalf("server_requests deltas sum to %v, want 100", total)
 	}
@@ -296,7 +296,7 @@ func TestMetricsProm(t *testing.T) {
 	srv := New(Options{})
 	h := httptest.NewServer(srv.Handler())
 	defer h.Close()
-	obs.Active().ServerRequest()
+	obs.Active().Add(obs.ServerRequests, 1)
 	resp, err := http.Get(h.URL + "/metrics.prom")
 	if err != nil {
 		t.Fatal(err)

@@ -265,7 +265,7 @@ func (s *Server) wrap(ep obs.HistID, h func(http.ResponseWriter, *http.Request))
 		o := obs.Active()
 		start := time.Now()
 		if !s.gate.enter() {
-			o.ServerRefused()
+			o.Add(obs.ServerRefused, 1)
 			w.Header().Set("Connection", "close")
 			httpError(w, http.StatusServiceUnavailable, "server is shutting down")
 			return
@@ -277,12 +277,12 @@ func (s *Server) wrap(ep obs.HistID, h func(http.ResponseWriter, *http.Request))
 		default:
 			// Saturated: shed instead of queueing, so latency stays
 			// bounded and the client's retry policy paces the load.
-			o.ServerShed()
+			o.Add(obs.ServerSheds, 1)
 			w.Header().Set("Retry-After", strconv.Itoa(int(s.opts.RetryAfter.Seconds())))
 			httpError(w, http.StatusTooManyRequests, "server at capacity, retry later")
 			return
 		}
-		o.ServerRequest()
+		o.Add(obs.ServerRequests, 1)
 		tr := obs.NewTrace(r.Header.Get(RequestIDHeader))
 		tr.Start = start
 		w.Header().Set(RequestIDHeader, tr.ID)
@@ -310,7 +310,7 @@ func (s *Server) wrap(ep obs.HistID, h func(http.ResponseWriter, *http.Request))
 		// aborts the connection with http.ErrAbortHandler.
 		defer func() {
 			dur := time.Since(start)
-			o.ServerBytesOut(cw.n)
+			o.Add(obs.ServerBytesOut, cw.n)
 			o.Observe(ep, dur.Nanoseconds())
 			s.logRequest(r, tr, cw, dur)
 		}()
@@ -610,7 +610,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// pool, so SpanRead is "time to drain the body" and SpanEncode is
 	// only the tail the encoder still owed when the body ended.
 	tr.AddSince(obs.SpanRead, readStart)
-	o.ServerBytesIn(total)
+	o.Add(obs.ServerBytesIn, total)
 	encStart := time.Now()
 	data := wr.Close()
 	tr.AddSince(obs.SpanEncode, encStart)
@@ -646,7 +646,7 @@ func (s *Server) ingestCompressed(w http.ResponseWriter, r *http.Request, name s
 		}
 		return
 	}
-	obs.Active().ServerBytesIn(int64(len(data)))
+	obs.Active().Add(obs.ServerBytesIn, int64(len(data)))
 	regStart := time.Now()
 	sc, err := s.reg.Put(name, data)
 	tr.AddSince(obs.SpanRegistry, regStart)
@@ -781,7 +781,7 @@ func (s *Server) handleAgg(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		parts, touched := sc.rel.FilterAggPartials(threads, pred, idxs)
-		obs.Active().ServerScanned()
+		obs.Active().Add(obs.ServerScans, 1)
 		wire := make([]aggPartialWire, len(parts))
 		for i, a := range parts {
 			wire[i] = aggPartialWire{
@@ -797,7 +797,7 @@ func (s *Server) handleAgg(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	agg, touched := sc.rel.FilterAggCtx(r.Context(), threads, pred)
-	obs.Active().ServerScanned()
+	obs.Active().Add(obs.ServerScans, 1)
 	writeJSON(w, http.StatusOK, aggResponse{
 		Sum:     fmtFloat(agg.Sum),
 		Count:   agg.Count,
@@ -831,12 +831,12 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		counts := sc.rel.FilterCountPartials(threads, pred, idxs)
-		obs.Active().ServerScanned()
+		obs.Active().Add(obs.ServerScans, 1)
 		writeJSON(w, http.StatusOK, map[string]any{"rowgroups": counts, "threads": threads})
 		return
 	}
 	count := sc.rel.FilterCountCtx(r.Context(), threads, pred)
-	obs.Active().ServerScanned()
+	obs.Active().Add(obs.ServerScans, 1)
 	writeJSON(w, http.StatusOK, map[string]any{"count": count, "threads": threads})
 }
 
@@ -917,9 +917,9 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	var batch obs.ScanBatch
 	defer func() {
 		// Runs on the abort panic too, so counters stay coherent.
-		o.VectorsSkipped(skipped)
+		o.Add(obs.VectorsSkipped, int64(skipped))
 		o.FlushScanBatch(&batch)
-		o.ServerScanned()
+		o.Add(obs.ServerScans, 1)
 		tr.Add(obs.SpanEngine, engineNs)
 		tr.Add(obs.SpanWrite, writeNs)
 	}()
@@ -986,10 +986,10 @@ func (s *Server) serveScanStream(w http.ResponseWriter, r *http.Request, sc *sto
 	var dense, repacked, raw, bytesSaved int64
 	defer func() {
 		// Runs on the abort panic too, so counters stay coherent.
-		o.VectorsSkipped(skipped)
+		o.Add(obs.VectorsSkipped, int64(skipped))
 		o.FlushScanBatch(&batch)
 		o.ScanFrames(dense, repacked, raw, bytesSaved)
-		o.ServerScanned()
+		o.Add(obs.ServerScans, 1)
 		tr.Add(obs.SpanEngine, engineNs)
 		tr.Add(obs.SpanWrite, writeNs)
 	}()

@@ -4,10 +4,13 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"github.com/goalp/alp/internal/dataset"
+	"github.com/goalp/alp/internal/obs"
 )
 
 // withStats runs fn with global metrics collection enabled and freshly
@@ -238,6 +241,71 @@ func TestStatsStringIsExpvarJSON(t *testing.T) {
 		}
 		if m["vectors_encoded"].(float64) != 2 {
 			t.Fatalf("vectors_encoded = %v, want 2", m["vectors_encoded"])
+		}
+	})
+}
+
+// TestStatsCoverCounterTable checks that the metric tags on Stats and
+// the obs counter table describe the same set: every counter maps to
+// exactly one Stats field and every int64 field to one counter, and
+// ReadStats and String carry every value across unchanged.
+func TestStatsCoverCounterTable(t *testing.T) {
+	fields := map[string]string{} // counter name -> Stats field
+	st := reflect.TypeOf(Stats{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		name, tagged := f.Tag.Lookup("metric")
+		if f.Type.Kind() != reflect.Int64 {
+			if tagged {
+				t.Errorf("Stats.%s is tagged but not an int64", f.Name)
+			}
+			continue
+		}
+		if !tagged {
+			t.Errorf("Stats.%s carries no metric tag", f.Name)
+			continue
+		}
+		if prev, dup := fields[name]; dup {
+			t.Errorf("counter %s is carried by both Stats.%s and Stats.%s", name, prev, f.Name)
+		}
+		fields[name] = f.Name
+	}
+	counters := (obs.Snapshot{}).Counters()
+	for _, m := range counters {
+		if _, ok := fields[m.Name]; !ok {
+			t.Errorf("counter %s has no Stats field", m.Name)
+		}
+	}
+	if len(fields) != len(counters) {
+		t.Errorf("%d tagged Stats fields, %d counters", len(fields), len(counters))
+	}
+
+	withStats(t, func() {
+		c := obs.Active()
+		for id := obs.Counter(0); id < obs.NumCounters; id++ {
+			c.Add(id, 1000+int64(id))
+		}
+		c.VectorEncoded(0, 0, 9)
+		got := ReadStats()
+		v := reflect.ValueOf(got)
+		snap := c.Snapshot()
+		for i, m := range snap.Counters() {
+			if f := v.FieldByName(fields[m.Name]).Int(); f != m.Value {
+				t.Errorf("Stats.%s = %d, counter %s = %d", fields[m.Name], f, m.Name, m.Value)
+			}
+			if m.Value != snap.Counts[i] {
+				t.Fatalf("Counters()[%d] is not Counts[%d]", i, i)
+			}
+		}
+		if got.BitWidthHist != snap.BitWidthHist {
+			t.Error("ReadStats dropped the bit-width histogram")
+		}
+		want := obs.Snapshot{Counts: snap.Counts, BitWidthHist: snap.BitWidthHist}.String()
+		if s := got.String(); s != want {
+			t.Errorf("Stats.String() =\n%s\nwant the counter snapshot\n%s", s, want)
+		}
+		if got.ClusterScatters == 0 || !strings.Contains(got.String(), `"cluster_scatters":1035`) {
+			t.Errorf("cluster counters missing from Stats: %+v", got)
 		}
 	})
 }
